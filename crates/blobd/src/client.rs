@@ -206,6 +206,23 @@ impl RemoteStore {
         }
     }
 
+    /// The bytes stored under `key`, or `None` if the daemon does not hold
+    /// them or does not answer. A control-plane read through `&self` (the
+    /// auditor inspects blob headers with it); on the wire it is a `fetch`.
+    pub fn peek(&self, key: &str) -> Option<Bytes> {
+        self.fetch_bytes(key).ok()
+    }
+
+    fn fetch_bytes(&self, key: &str) -> Result<Bytes, NetError> {
+        let out = self.call(&Request::Fetch {
+            key: key.to_owned(),
+        })?;
+        match out.response {
+            Response::Ok { payload } => Ok(payload),
+            other => Err(self.response_error(other, "fetch", key)),
+        }
+    }
+
     /// Ask the daemon to shut down gracefully.
     ///
     /// # Errors
@@ -235,13 +252,7 @@ impl BlobStore for RemoteStore {
     }
 
     fn fetch(&mut self, key: &str) -> obiwan_net::Result<Bytes> {
-        let out = self.call(&Request::Fetch {
-            key: key.to_owned(),
-        })?;
-        match out.response {
-            Response::Ok { payload } => Ok(payload),
-            other => Err(self.response_error(other, "fetch", key)),
-        }
+        self.fetch_bytes(key)
     }
 
     fn drop_blob(&mut self, key: &str) -> obiwan_net::Result<()> {
@@ -265,6 +276,8 @@ impl BlobStore for RemoteStore {
         .is_ok_and(|out| matches!(out.response, Response::Ok { .. }))
     }
 
+    /// A daemon that does not answer reads as 0 here; callers that must
+    /// tell a dead daemon from an empty one use [`RemoteStore::stat`].
     fn used_bytes(&self) -> usize {
         self.stat().map(|(used, _, _)| used as usize).unwrap_or(0)
     }

@@ -164,7 +164,7 @@ impl Blobd {
 
     /// Bind on a loopback ephemeral port and serve on a background
     /// thread — the in-process deployment the loopback tests and the
-    /// actor runtime's scripted worlds use.
+    /// live transport's scripted worlds use.
     ///
     /// # Errors
     ///

@@ -1,8 +1,9 @@
 //! End-to-end over real TCP: the full middleware stack swapping clusters
-//! out to live `obiwan-blobd` daemons through the actor-runtime transport,
-//! killing a daemon, and reloading via the ordered failover — the same
-//! scenario the simulation's durability tests pin, now with actual sockets
-//! and processes underneath.
+//! out to live `obiwan-blobd` daemons through the live transport
+//! (`ActorNet`, which calls each daemon's client directly under the fabric
+//! lock), killing a daemon, and reloading via the ordered failover — the
+//! same scenario the simulation's durability tests pin, now with actual
+//! sockets and processes underneath.
 
 #![allow(clippy::disallowed_methods)] // tests may panic on impossible states
 
@@ -10,7 +11,7 @@ use obiwan_blobd::{Blobd, BlobdHandle, RemoteStore};
 use obiwan_core::{Middleware, StoreSpec, SwapConfig};
 use obiwan_heap::Value;
 use obiwan_net::{
-    BlobStore, Bytes, DeviceId, DeviceKind, LinkSpec, NetFabric, Transport, TransportKind,
+    BlobStore, Bytes, DeviceId, DeviceKind, LinkSpec, NetError, NetFabric, Transport, TransportKind,
 };
 use obiwan_netd::ActorNet;
 use obiwan_replication::{standard_classes, Server};
@@ -22,7 +23,7 @@ use std::time::{Duration, Instant};
 const QUOTA: usize = 1 << 20;
 
 /// A PDA over a 40-node list in a live world: two `obiwan-blobd` daemons
-/// on loopback ports, fronted by the actor runtime, k = 2 fan-out.
+/// on loopback ports, fronted by the live transport, k = 2 fan-out.
 fn tcp_world() -> (
     Middleware,
     obiwan_heap::ObjRef,
@@ -183,6 +184,26 @@ fn swap_out_kill_a_daemon_and_reload_via_failover() {
     for handle in handles {
         handle.shutdown();
     }
+}
+
+#[test]
+fn a_dead_daemon_reads_as_departed_not_as_empty_storage() {
+    let mut net = ActorNet::new();
+    let home = net.add_device("pda", DeviceKind::Pda, 0);
+    let handle = Blobd::spawn_local(QUOTA).expect("bind loopback daemon");
+    let d = net.add_remote_device("blobd", DeviceKind::Laptop, QUOTA, handle.addr());
+    net.connect(home, d, LinkSpec::bluetooth()).expect("link");
+    net.send_blob(home, d, "dev0-sc1-e0", Bytes::copy_from_slice(b"<swap/>"))
+        .expect("store on the live daemon");
+    let used = net.stored_bytes(d).expect("a live daemon answers");
+    assert!(used > 0);
+    assert_eq!(net.free_storage(d), Ok(QUOTA - used));
+
+    handle.shutdown();
+    wait_until_down(handle.addr());
+    // A dead daemon must not offer its whole quota to placement.
+    assert_eq!(net.stored_bytes(d), Err(NetError::Departed { device: d }));
+    assert_eq!(net.free_storage(d), Err(NetError::Departed { device: d }));
 }
 
 #[test]

@@ -253,7 +253,7 @@ impl MiddlewareBuilder {
     ///
     /// As [`MiddlewareBuilder::build`]. Also panics if the swap config
     /// selects a live transport: this constructor builds a simulated room,
-    /// so live worlds (actor runtime + `obiwan-blobd` daemons) must be
+    /// so live worlds (`obiwan-netd` + `obiwan-blobd` daemons) must be
     /// assembled externally and handed to
     /// [`MiddlewareBuilder::build_in_world`].
     // Construction-time misconfiguration panics are documented above

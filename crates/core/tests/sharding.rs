@@ -279,6 +279,15 @@ fn repair_sweep_restores_placements_on_two_shards() {
     assert!(!report.has_errors(), "after cross-shard repair:\n{report}");
 }
 
+/// Sets its flag when dropped, on a normal exit and on a panic alike.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// The stress test the shard refactor exists for: one mutator thread
 /// driving the process (swaps, GC, cursor traffic) while three
 /// maintenance threads hammer `&self` manager entry points through bare
@@ -414,7 +423,10 @@ fn concurrent_maintenance_and_churn_stress() {
 
         // The mutator: the only thread that owns the process. Everything
         // it tolerates is a legitimate race outcome (cluster already
-        // swapped, blob on a flapped device, nothing evictable).
+        // swapped, blob on a flapped device, nothing evictable). Its guard
+        // stops the other threads however it ends, so a panic here fails
+        // the test at once instead of waiting forever on the scope.
+        let _stop_on_exit = StopOnDrop(&stop);
         let mut rng = 42u64;
         for _ in 0..STEPS {
             match next_rand(&mut rng) % 8 {
@@ -448,7 +460,6 @@ fn concurrent_maintenance_and_churn_stress() {
                 }
             }
         }
-        stop.store(true, Ordering::Relaxed);
     });
 
     // Quiesce: every device is back (the churn thread restores its flap

@@ -16,7 +16,7 @@ impl DeviceId {
     ///
     /// The simulation allocates its own ids in [`crate::SimNet::add_device`];
     /// this constructor exists for transport backends *outside* this crate
-    /// (the actor runtime, remote worlds) that host their own device tables
+    /// (the `obiwan-netd` live transport) that host their own device tables
     /// and must mint ids consistent with their dense ordering.
     pub fn from_index(raw: u32) -> DeviceId {
         DeviceId(raw)

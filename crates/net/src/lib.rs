@@ -55,7 +55,7 @@ pub use clock::{Clock, RealClock, SimDuration, SimTime};
 pub use device::{DeviceId, DeviceKind, DeviceProfile};
 pub use error::NetError;
 pub use link::LinkSpec;
-pub use route::Route;
+pub use route::{reachable, Route};
 pub use sim::SimNet;
 pub use store::{BlobStore, FailurePlan, MemStore};
 pub use trace::{TraceEvent, TraceKind};

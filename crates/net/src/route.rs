@@ -24,77 +24,97 @@ impl Route {
     pub fn hops(&self) -> usize {
         self.relays.len() + 1
     }
+
+    /// The fewest-hops route from `from` to `to` over the link graph that
+    /// `nearby` describes (ties broken by device id: each relay is the
+    /// lowest-id device one hop closer to `from`). Both transports route
+    /// with this, so a live world picks the same relays as the simulation.
+    ///
+    /// Returns `None` when `to` is unreachable. Presence is the caller's:
+    /// `nearby` lists present devices only, and `from`/`to` are checked by
+    /// the transport before it asks.
+    pub fn shortest(
+        from: DeviceId,
+        to: DeviceId,
+        nearby: impl Fn(DeviceId) -> Vec<DeviceId>,
+    ) -> Option<Route> {
+        let reached = rings(from, Some(to), nearby);
+        let parent = |of: DeviceId| reached.iter().find(|r| r.0 == of).map(|r| r.2);
+        let mut relays = Vec::new();
+        if from != to {
+            let mut cur = parent(to)?;
+            while cur != from {
+                relays.push(cur);
+                cur = parent(cur)?;
+            }
+            relays.reverse();
+        }
+        Some(Route { from, to, relays })
+    }
+}
+
+/// Devices reachable from `of` over any number of hops of the link graph
+/// that `nearby` describes, with their hop counts, in (hops, id) order.
+/// The single-hop prefix equals `nearby(of)`.
+pub fn reachable(
+    of: DeviceId,
+    nearby: impl Fn(DeviceId) -> Vec<DeviceId>,
+) -> Vec<(DeviceId, usize)> {
+    rings(of, None, nearby)
+        .into_iter()
+        .map(|(device, hops, _)| (device, hops))
+        .collect()
+}
+
+/// Breadth-first search from `of`, one ring of equal hop count at a time:
+/// every device reached, with its hop count and the device it was first
+/// reached from. Each ring is sorted by id before it is expanded, so the
+/// output is in (hops, id) order and the parent of a device is its
+/// lowest-id neighbour in the ring before. Stops after the ring holding
+/// `until`.
+fn rings(
+    of: DeviceId,
+    until: Option<DeviceId>,
+    nearby: impl Fn(DeviceId) -> Vec<DeviceId>,
+) -> Vec<(DeviceId, usize, DeviceId)> {
+    let mut out = Vec::new();
+    let mut seen = std::collections::HashSet::from([of]);
+    let mut frontier = vec![of];
+    let mut hops = 0;
+    while !frontier.is_empty() && until.is_none_or(|to| !seen.contains(&to)) {
+        hops += 1;
+        let mut ring = Vec::new();
+        for &cur in &frontier {
+            for next in nearby(cur) {
+                if seen.insert(next) {
+                    ring.push((next, cur));
+                }
+            }
+        }
+        ring.sort();
+        out.extend(ring.iter().map(|&(device, parent)| (device, hops, parent)));
+        frontier = ring.into_iter().map(|(device, _)| device).collect();
+    }
+    out
 }
 
 impl SimNet {
     /// Find the fewest-hops route from `from` to `to` over present devices
-    /// (breadth-first over the link graph; ties broken by device id for
-    /// determinism).
+    /// ([`Route::shortest`]).
     ///
     /// Returns `None` when `to` is unreachable (or either side is absent).
     pub fn route(&self, from: DeviceId, to: DeviceId) -> Option<Route> {
         if !self.is_present(from) || !self.is_present(to) {
             return None;
         }
-        if from == to {
-            return Some(Route {
-                from,
-                to,
-                relays: Vec::new(),
-            });
-        }
-        let mut predecessor: std::collections::HashMap<DeviceId, DeviceId> =
-            std::collections::HashMap::new();
-        let mut queue = std::collections::VecDeque::from([from]);
-        'search: while let Some(cur) = queue.pop_front() {
-            for next in self.nearby(cur) {
-                if next == from || predecessor.contains_key(&next) {
-                    continue;
-                }
-                predecessor.insert(next, cur);
-                if next == to {
-                    break 'search;
-                }
-                queue.push_back(next);
-            }
-        }
-        predecessor.contains_key(&to).then(|| {
-            let mut relays = Vec::new();
-            let mut cur = to;
-            while let Some(&prev) = predecessor.get(&cur) {
-                if prev == from {
-                    break;
-                }
-                relays.push(prev);
-                cur = prev;
-            }
-            relays.reverse();
-            Route { from, to, relays }
-        })
+        Route::shortest(from, to, |d| self.nearby(d))
     }
 
     /// Devices reachable from `of` over any number of hops, with their hop
-    /// counts, in (hops, id) order. The single-hop prefix equals
-    /// [`SimNet::nearby`].
+    /// counts, in (hops, id) order ([`reachable`]). The single-hop prefix
+    /// equals [`SimNet::nearby`].
     pub fn reachable(&self, of: DeviceId) -> Vec<(DeviceId, usize)> {
-        let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::from([of]);
-        let mut frontier = vec![of];
-        let mut hops = 0;
-        while !frontier.is_empty() {
-            hops += 1;
-            let mut next_frontier = Vec::new();
-            for dev in frontier {
-                for next in self.nearby(dev) {
-                    if seen.insert(next) {
-                        out.push((next, hops));
-                        next_frontier.push(next);
-                    }
-                }
-            }
-            frontier = next_frontier;
-        }
-        out
+        reachable(of, |d| self.nearby(d))
     }
 
     /// Send a blob along a relay route: every hop pays its link's transfer

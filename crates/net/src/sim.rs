@@ -306,13 +306,16 @@ impl SimNet {
             .collect()
     }
 
-    /// Keys of every blob currently stored on a device (control-plane
-    /// query, free of charge). Empty for unknown devices.
+    /// Keys of every blob currently stored on a device, sorted
+    /// (control-plane query, free of charge). Empty for unknown devices.
     pub fn blob_keys(&self, device: DeviceId) -> Vec<String> {
-        self.devices
+        let mut keys: Vec<String> = self
+            .devices
             .get(device.0 as usize)
             .map(|d| d.store.keys().map(str::to_string).collect())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        keys.sort();
+        keys
     }
 
     /// The bytes stored under `key` on a device, if any (control-plane

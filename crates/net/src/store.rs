@@ -99,8 +99,8 @@ impl FailurePlan {
 
     /// Whether the `op_counter`-th operation must fail under this plan.
     ///
-    /// Public so transport backends outside this crate (the actor
-    /// runtime) can evaluate the same deterministic plan at their own
+    /// Public so transport backends outside this crate (the `obiwan-netd`
+    /// live transport) can evaluate the same deterministic plan at their own
     /// dispatch layer instead of inside a store they may not own.
     pub fn should_fail(&self, op_counter: u64) -> bool {
         if self.fail_at.contains(&op_counter) {

@@ -5,7 +5,7 @@
 //! [`NetFabric`] dispatcher so the swapping core can run unchanged over
 //! either the deterministic simulation (still the default, and the only
 //! backend the golden traces accept) or a live backend such as the
-//! `obiwan-netd` actor runtime fronting real `obiwan-blobd` processes.
+//! `obiwan-netd` live transport fronting real `obiwan-blobd` processes.
 //!
 //! Design rules:
 //!
@@ -37,7 +37,7 @@ pub enum TransportKind {
     /// The deterministic in-process simulation.
     #[default]
     Sim,
-    /// A live backend: the actor runtime shipping framed blobs to
+    /// A live backend: the `obiwan-netd` transport shipping framed blobs to
     /// `obiwan-blobd` daemons over TCP.
     Tcp,
 }
@@ -187,8 +187,9 @@ pub trait Transport {
     /// Whether `to` currently holds a blob under `key`.
     fn holds_blob(&self, to: DeviceId, key: &str) -> bool;
 
-    /// Every device (present or not) holding a blob under `key`,
-    /// ascending id order.
+    /// Every *present* device holding a blob under `key`, ascending id
+    /// order. A departed device keeps its blobs but is not listed until it
+    /// arrives again.
     fn holders_of_key(&self, key: &str) -> Vec<DeviceId>;
 
     /// Keys of every blob a device holds, sorted.

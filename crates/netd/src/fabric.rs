@@ -1,53 +1,92 @@
-//! [`ActorNet`]: a live world of device actors implementing
+//! [`ActorNet`]: a live world of devices implementing
 //! [`obiwan_net::Transport`].
 //!
-//! The control tables (profiles, links, presence, traffic, churn) live in
-//! the `ActorNet` itself and are serialized by the `Arc<Mutex<NetFabric>>`
-//! the core already locks; the *data plane* — every blob byte — flows
-//! through per-device actor inboxes, each actor owning its store (local
-//! memory or a remote `obiwan-blobd` process). Semantics mirror the
-//! simulation verb for verb: errors use the same [`NetError`] vocabulary
-//! in the same order (unknown device, departed, not connected, store
-//! errors), transfer costs use the same [`LinkSpec`] arithmetic, and
-//! airtime is charged even when the far store refuses the blob.
+//! The control tables (profiles, links, presence, traffic, churn) and the
+//! devices' stores live in the `ActorNet` itself, and every verb runs on
+//! the caller's thread under the `Arc<Mutex<NetFabric>>` guard the core
+//! already holds for each transport call. A blob verb calls the device's
+//! store directly: a [`MemStore`] in this process, or a [`RemoteStore`]
+//! doing one framed request/response with an `obiwan-blobd` daemon.
+//! Semantics mirror the simulation verb for verb: errors use the same
+//! [`NetError`] vocabulary in the same order (unknown device, departed,
+//! not connected, store errors), transfer costs use the same [`LinkSpec`]
+//! arithmetic, airtime is charged even when the far store refuses the
+//! blob, and routes come from the simulation's own router
+//! ([`Route::shortest`], [`obiwan_net::reachable`]).
 //!
 //! What is *not* preserved: determinism. The clock is the sanctioned
-//! [`obiwan_net::clock::real`] seam, replies race real threads and real
+//! [`obiwan_net::clock::real`] seam, remote stores answer over real
 //! sockets, and traces are not replayable — which is exactly why
 //! `TransportKind::Sim` remains the default everywhere.
 
-use crate::actor::{Actor, Op, Pace, Reply};
 use obiwan_blobd::RemoteStore;
 use obiwan_net::clock::RealClock;
 use obiwan_net::{
     BlobStore, Bytes, DeviceId, DeviceKind, DeviceProfile, FailurePlan, LinkSpec, MemStore,
     NetError, Result, Route, SimDuration, SimTime, Transport,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
-use std::time::Duration;
 
-/// How long a blob verb waits for an actor's reply before declaring the
-/// device departed. Local actors answer in microseconds; remote ones are
-/// bounded by the blobd client's own connect/read timeouts and retry
-/// budget, which this comfortably exceeds.
-const ACTOR_TIMEOUT: Duration = Duration::from_secs(10);
+/// Where a device's blobs live.
+enum Store {
+    /// In this process.
+    Local(MemStore),
+    /// In an `obiwan-blobd` daemon.
+    Remote(RemoteStore),
+}
 
-/// Per-device deterministic failure injection evaluated at dispatch.
-struct PlanState {
-    plan: FailurePlan,
-    ops: u64,
+impl Store {
+    /// The three-verb protocol, whichever side of a socket the bytes are.
+    fn verbs(&mut self) -> &mut dyn BlobStore {
+        match self {
+            Store::Local(s) => s,
+            Store::Remote(s) => s,
+        }
+    }
+
+    fn contains(&self, key: &str) -> bool {
+        match self {
+            Store::Local(s) => s.contains(key),
+            Store::Remote(s) => s.contains(key),
+        }
+    }
+
+    /// The bytes under `key`, read without the transfer verbs' accounting.
+    fn peek(&self, key: &str) -> Option<Bytes> {
+        match self {
+            Store::Local(s) => s.peek(key),
+            Store::Remote(s) => s.peek(key),
+        }
+    }
+
+    /// Bytes charged against the quota. A daemon that does not answer is
+    /// [`NetError::Departed`], never an empty store.
+    fn used_bytes(&self) -> Result<usize> {
+        match self {
+            Store::Local(s) => Ok(s.used_bytes()),
+            Store::Remote(s) => s
+                .stat()
+                .map(|(used, _, _)| usize::try_from(used).unwrap_or(usize::MAX)),
+        }
+    }
 }
 
 struct DeviceSlot {
     profile: DeviceProfile,
     present: bool,
-    actor: Actor,
-    plan: PlanState,
+    store: Store,
+    /// `BlobStore` cannot enumerate keys, so the slot mirrors them: updated
+    /// only on verbs that succeeded against the store.
+    keys: BTreeSet<String>,
+    /// Failure injection, evaluated at dispatch against `ops`, the count of
+    /// store/fetch/drop calls this device has been sent.
+    plan: FailurePlan,
+    ops: u64,
 }
 
-/// A live transport world: one actor per device, mailbox-ordered
-/// delivery, per-link latency pacing and per-device failure injection.
+/// A live transport world: per-device stores called directly under the
+/// fabric lock, the simulation's router and per-device failure injection.
 pub struct ActorNet {
     clock: RealClock,
     devices: Vec<DeviceSlot>,
@@ -55,9 +94,6 @@ pub struct ActorNet {
     churn: u64,
     bytes_sent: u64,
     bytes_fetched: u64,
-    /// When nonzero, every transfer really sleeps `modelled_cost / divisor`
-    /// — latency injection scaled down so tests stay fast.
-    latency_divisor: u64,
 }
 
 fn norm(a: DeviceId, b: DeviceId) -> (u32, u32) {
@@ -79,12 +115,11 @@ impl ActorNet {
             churn: 0,
             bytes_sent: 0,
             bytes_fetched: 0,
-            latency_divisor: 0,
         }
     }
 
     /// Add a device whose blobs live in local memory (a [`MemStore`] with
-    /// `quota`), hosted by its own actor thread.
+    /// `quota`).
     pub fn add_device(
         &mut self,
         name: impl Into<String>,
@@ -94,7 +129,7 @@ impl ActorNet {
         let id = DeviceId::from_index(self.devices.len() as u32);
         self.push_slot(
             DeviceProfile::new(name, kind, quota),
-            Box::new(MemStore::new(id, quota)),
+            Store::Local(MemStore::new(id, quota)),
         );
         id
     }
@@ -113,29 +148,25 @@ impl ActorNet {
         let id = DeviceId::from_index(self.devices.len() as u32);
         self.push_slot(
             DeviceProfile::new(name, kind, quota),
-            Box::new(RemoteStore::connect(id, addr)),
+            Store::Remote(RemoteStore::connect(id, addr)),
         );
         id
     }
 
-    fn push_slot(&mut self, profile: DeviceProfile, store: Box<dyn BlobStore + Send>) {
+    fn push_slot(&mut self, profile: DeviceProfile, store: Store) {
         self.devices.push(DeviceSlot {
             profile,
             present: true,
-            actor: Actor::spawn(store),
-            plan: PlanState {
-                plan: FailurePlan::none(),
-                ops: 0,
-            },
+            store,
+            keys: BTreeSet::new(),
+            plan: FailurePlan::none(),
+            ops: 0,
         });
     }
 
-    /// Scale real latency injection: every transfer sleeps
-    /// `modelled_cost / divisor` of wall time. Zero (the default)
-    /// disables sleeping entirely.
-    pub fn set_latency_divisor(&mut self, divisor: u64) {
-        self.latency_divisor = divisor;
-    }
+    /// Ignored. A live op takes host time only: link costs are reported
+    /// and charged as airtime, never slept out.
+    pub fn set_latency_divisor(&mut self, _divisor: u64) {}
 
     fn slot(&self, device: DeviceId) -> Result<&DeviceSlot> {
         self.devices
@@ -169,43 +200,17 @@ impl ActorNet {
     /// (the live analogue of the simulation's store-level plans).
     fn check_plan(&mut self, device: DeviceId, op: &'static str) -> Result<()> {
         let slot = self.slot_mut(device)?;
-        let n = slot.plan.ops;
-        slot.plan.ops += 1;
-        if slot.plan.plan.should_fail(n) {
+        let n = slot.ops;
+        slot.ops += 1;
+        if slot.plan.should_fail(n) {
             return Err(NetError::InjectedFailure { device, op });
         }
         Ok(())
     }
 
-    /// The store-path pace: the payload size (and thus the modelled cost)
-    /// is known up front, so the sleep ships to the actor precomputed.
-    fn pace_micros(&self, cost: SimDuration) -> Pace {
-        match cost.as_micros().checked_div(self.latency_divisor) {
-            Some(us) => Pace::Micros(us),
-            None => Pace::None,
-        }
-    }
-
-    /// The fetch-path pace: the blob size is unknown until the far store
-    /// answers, so the actor prices the route itself from its links.
-    fn pace_per_byte(&self, hops: Vec<LinkSpec>) -> Pace {
-        if self.latency_divisor == 0 {
-            Pace::None
-        } else {
-            Pace::PerByte {
-                hops,
-                divisor: self.latency_divisor,
-            }
-        }
-    }
-
-    fn actor_call(&self, device: DeviceId, op: Op) -> Result<Reply> {
-        self.slot(device)?.actor.call(device, op, ACTOR_TIMEOUT)
-    }
-
-    /// The link specs along `route`, in hop order.
-    fn route_links(&self, route: &Route) -> Result<Vec<LinkSpec>> {
-        let mut hops = Vec::new();
+    /// Hop-by-hop modelled cost of moving `bytes` along `route`.
+    fn route_cost(&self, route: &Route, bytes: usize) -> Result<SimDuration> {
+        let mut total = SimDuration::ZERO;
         let mut cur = route.from;
         for &next in route.relays.iter().chain(std::iter::once(&route.to)) {
             let link = self
@@ -216,19 +221,39 @@ impl ActorNet {
                     from: cur,
                     to: next,
                 })?;
-            hops.push(link);
+            total += link.transfer_time(bytes);
             cur = next;
         }
-        Ok(hops)
+        Ok(total)
     }
 
-    /// Hop-by-hop modelled cost of moving `bytes` along `route`.
-    fn route_cost(&self, route: &Route, bytes: usize) -> Result<SimDuration> {
-        let mut total = SimDuration::ZERO;
-        for hop in self.route_links(route)? {
-            total += hop.transfer_time(bytes);
-        }
-        Ok(total)
+    /// Hand `data` to `to`'s store once the route to it checked out. The
+    /// airtime is spent before the store accepts or refuses — the same
+    /// accounting the simulation uses.
+    fn deliver(&mut self, to: DeviceId, key: &str, data: Bytes) -> Result<()> {
+        self.bytes_sent = self.bytes_sent.saturating_add(data.len() as u64);
+        self.check_plan(to, "store")?;
+        let slot = self.slot_mut(to)?;
+        slot.store.verbs().store(key, data)?;
+        slot.keys.insert(key.to_owned());
+        Ok(())
+    }
+
+    /// Read `key` back from `to`'s store once the route to it checked out.
+    fn retrieve(&mut self, to: DeviceId, key: &str) -> Result<Bytes> {
+        self.check_plan(to, "fetch")?;
+        let data = self.slot_mut(to)?.store.verbs().fetch(key)?;
+        self.bytes_fetched = self.bytes_fetched.saturating_add(data.len() as u64);
+        Ok(data)
+    }
+
+    /// Drop `key` from `to`'s store once the route to it checked out.
+    fn discard(&mut self, to: DeviceId, key: &str) -> Result<()> {
+        self.check_plan(to, "drop")?;
+        let slot = self.slot_mut(to)?;
+        slot.store.verbs().drop_blob(key)?;
+        slot.keys.remove(key);
+        Ok(())
     }
 }
 
@@ -263,8 +288,9 @@ impl Transport for ActorNet {
     }
 
     fn set_failure_plan(&mut self, device: DeviceId, plan: FailurePlan) -> Result<()> {
-        let slot = self.slot_mut(device)?;
-        slot.plan = PlanState { plan, ops: 0 };
+        // Like the simulation's store, the op count runs on: a new plan's
+        // indices count from the device's first op, not from now.
+        self.slot_mut(device)?.plan = plan;
         Ok(())
     }
 
@@ -311,97 +337,20 @@ impl Transport for ActorNet {
     }
 
     fn reachable(&self, of: DeviceId) -> Vec<(DeviceId, usize)> {
-        // Breadth-first over present devices, ascending id inside each
-        // ring — the same deterministic order the simulation's router uses.
-        let mut out = Vec::new();
-        if !self.is_present(of) {
-            return out;
-        }
-        let mut seen = vec![false; self.devices.len()];
-        if let Some(flag) = seen.get_mut(of.index() as usize) {
-            *flag = true;
-        }
-        let mut frontier = vec![of];
-        let mut hops = 0;
-        while !frontier.is_empty() {
-            hops += 1;
-            let mut next = Vec::new();
-            for &cur in &frontier {
-                for n in self.nearby(cur) {
-                    let idx = n.index() as usize;
-                    if seen.get(idx).copied().unwrap_or(true) {
-                        continue;
-                    }
-                    if let Some(flag) = seen.get_mut(idx) {
-                        *flag = true;
-                    }
-                    next.push(n);
-                }
-            }
-            next.sort();
-            out.extend(next.iter().map(|&d| (d, hops)));
-            frontier = next;
-        }
-        out
+        obiwan_net::reachable(of, |d| self.nearby(d))
     }
 
     fn route(&self, from: DeviceId, to: DeviceId) -> Option<Route> {
         if !self.is_present(from) || !self.is_present(to) {
             return None;
         }
-        // BFS with parent pointers; neighbour order is ascending id, so
-        // tie-breaks match the simulation's router.
-        let mut parent: Vec<Option<DeviceId>> = vec![None; self.devices.len()];
-        let mut seen = vec![false; self.devices.len()];
-        if let Some(flag) = seen.get_mut(from.index() as usize) {
-            *flag = true;
-        }
-        let mut frontier = vec![from];
-        while !frontier.is_empty() && !seen.get(to.index() as usize).copied().unwrap_or(false) {
-            let mut next = Vec::new();
-            for &cur in &frontier {
-                for n in self.nearby(cur) {
-                    let idx = n.index() as usize;
-                    if seen.get(idx).copied().unwrap_or(true) {
-                        continue;
-                    }
-                    if let Some(flag) = seen.get_mut(idx) {
-                        *flag = true;
-                    }
-                    if let Some(p) = parent.get_mut(idx) {
-                        *p = Some(cur);
-                    }
-                    next.push(n);
-                }
-            }
-            next.sort();
-            frontier = next;
-        }
-        if !seen.get(to.index() as usize).copied().unwrap_or(false) {
-            return None;
-        }
-        let mut relays = Vec::new();
-        let mut cur = to;
-        while let Some(p) = parent.get(cur.index() as usize).copied().flatten() {
-            if p == from {
-                break;
-            }
-            relays.push(p);
-            cur = p;
-        }
-        relays.reverse();
-        Some(Route { from, to, relays })
+        Route::shortest(from, to, |d| self.nearby(d))
     }
 
     fn free_storage(&self, device: DeviceId) -> Result<usize> {
-        let quota = self.slot(device)?.profile.storage_quota;
-        match self.actor_call(device, Op::Used)? {
-            Reply::Size(used) => Ok(quota.saturating_sub(used)),
-            _ => Err(NetError::Protocol {
-                device,
-                detail: "actor returned a mismatched reply for Used".into(),
-            }),
-        }
+        let slot = self.slot(device)?;
+        let used = slot.store.used_bytes()?;
+        Ok(slot.profile.storage_quota.saturating_sub(used))
     }
 
     fn depart(&mut self, device: DeviceId) -> Result<()> {
@@ -435,54 +384,19 @@ impl Transport for ActorNet {
         data: Bytes,
     ) -> Result<SimDuration> {
         let link = self.require_link(from, to)?;
-        self.check_plan(to, "store")?;
-        let bytes = data.len();
-        let cost = link.transfer_time(bytes);
-        // Airtime is spent before the far store accepts or refuses — the
-        // same accounting the simulation uses. The sleep itself rides in
-        // the op and is paid on the actor thread.
-        self.bytes_sent = self.bytes_sent.saturating_add(bytes as u64);
-        self.actor_call(
-            to,
-            Op::Store {
-                key: key.to_owned(),
-                data,
-                pace: self.pace_micros(cost),
-            },
-        )?;
+        let cost = link.transfer_time(data.len());
+        self.deliver(to, key, data)?;
         Ok(cost)
     }
 
     fn fetch_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<Bytes> {
-        let link = self.require_link(from, to)?;
-        self.check_plan(to, "fetch")?;
-        let reply = self.actor_call(
-            to,
-            Op::Fetch {
-                key: key.to_owned(),
-                pace: self.pace_per_byte(vec![link]),
-            },
-        )?;
-        let Reply::Blob(data) = reply else {
-            return Err(NetError::Protocol {
-                device: to,
-                detail: "actor returned a mismatched reply for Fetch".into(),
-            });
-        };
-        self.bytes_fetched = self.bytes_fetched.saturating_add(data.len() as u64);
-        Ok(data)
+        self.require_link(from, to)?;
+        self.retrieve(to, key)
     }
 
     fn drop_blob(&mut self, from: DeviceId, to: DeviceId, key: &str) -> Result<()> {
         self.require_link(from, to)?;
-        self.check_plan(to, "drop")?;
-        self.actor_call(
-            to,
-            Op::Drop {
-                key: key.to_owned(),
-            },
-        )?;
-        Ok(())
+        self.discard(to, key)
     }
 
     fn send_blob_routed(
@@ -500,16 +414,7 @@ impl Transport for ActorNet {
             return Ok((route, cost));
         }
         let total = self.route_cost(&route, data.len())?;
-        self.check_plan(to, "store")?;
-        self.bytes_sent = self.bytes_sent.saturating_add(data.len() as u64);
-        self.actor_call(
-            to,
-            Op::Store {
-                key: key.to_owned(),
-                data,
-                pace: self.pace_micros(total),
-            },
-        )?;
+        self.deliver(to, key, data)?;
         Ok((route, total))
     }
 
@@ -522,25 +427,11 @@ impl Transport for ActorNet {
         let route = self
             .route(from, to)
             .ok_or(NetError::NotConnected { from, to })?;
-        if route.relays.is_empty() {
-            let data = self.fetch_blob(from, to, key)?;
-            return Ok((route, data));
-        }
-        self.check_plan(to, "fetch")?;
-        let reply = self.actor_call(
-            to,
-            Op::Fetch {
-                key: key.to_owned(),
-                pace: self.pace_per_byte(self.route_links(&route)?),
-            },
-        )?;
-        let Reply::Blob(data) = reply else {
-            return Err(NetError::Protocol {
-                device: to,
-                detail: "actor returned a mismatched reply for Fetch".into(),
-            });
+        let data = if route.relays.is_empty() {
+            self.fetch_blob(from, to, key)?
+        } else {
+            self.retrieve(to, key)?
         };
-        self.bytes_fetched = self.bytes_fetched.saturating_add(data.len() as u64);
         Ok((route, data))
     }
 
@@ -549,66 +440,37 @@ impl Transport for ActorNet {
             .route(from, to)
             .ok_or(NetError::NotConnected { from, to })?;
         if route.relays.is_empty() {
-            return self.drop_blob(from, to, key);
+            self.drop_blob(from, to, key)
+        } else {
+            self.discard(to, key)
         }
-        self.check_plan(to, "drop")?;
-        self.actor_call(
-            to,
-            Op::Drop {
-                key: key.to_owned(),
-            },
-        )?;
-        Ok(())
     }
 
     fn holds_blob(&self, to: DeviceId, key: &str) -> bool {
-        matches!(
-            self.actor_call(
-                to,
-                Op::Contains {
-                    key: key.to_owned()
-                }
-            ),
-            Ok(Reply::Flag(true))
-        )
+        self.slot(to).is_ok_and(|s| s.store.contains(key))
     }
 
     fn holders_of_key(&self, key: &str) -> Vec<DeviceId> {
-        // Departed devices keep their blobs (and their actors), exactly
-        // like the simulation's "walked away with the bytes" semantics.
+        // Present holders only, like the simulation: a departed device keeps
+        // its blobs but offers none of them until it arrives again.
         (0..self.devices.len() as u32)
             .map(DeviceId::from_index)
-            .filter(|&d| self.holds_blob(d, key))
+            .filter(|&d| self.is_present(d) && self.holds_blob(d, key))
             .collect()
     }
 
     fn blob_keys(&self, device: DeviceId) -> Vec<String> {
-        match self.actor_call(device, Op::Keys) {
-            Ok(Reply::Keys(keys)) => keys,
-            _ => Vec::new(),
-        }
+        self.slot(device)
+            .map(|s| s.keys.iter().cloned().collect())
+            .unwrap_or_default()
     }
 
     fn blob_data(&self, device: DeviceId, key: &str) -> Option<Bytes> {
-        match self.actor_call(
-            device,
-            Op::Data {
-                key: key.to_owned(),
-            },
-        ) {
-            Ok(Reply::MaybeBlob(data)) => data,
-            _ => None,
-        }
+        self.slot(device).ok()?.store.peek(key)
     }
 
     fn stored_bytes(&self, device: DeviceId) -> Result<usize> {
-        match self.actor_call(device, Op::Used)? {
-            Reply::Size(used) => Ok(used),
-            _ => Err(NetError::Protocol {
-                device,
-                detail: "actor returned a mismatched reply for Used".into(),
-            }),
-        }
+        self.slot(device)?.store.used_bytes()
     }
 
     fn device_ids(&self) -> Vec<DeviceId> {

@@ -1,32 +1,35 @@
-//! `obiwan-netd`: the live transport runtime behind `TransportKind::Tcp`.
+//! `obiwan-netd`: the live transport behind `TransportKind::Tcp`.
 //!
 //! Where `obiwan-net`'s `SimNet` *models* a room full of devices under a
-//! scripted clock, this crate *runs* one: each device is an actor — a
-//! thread draining a FIFO inbox, owning its blob store exclusively — and
-//! [`ActorNet`] is the world that routes the middleware's transport verbs
-//! into those inboxes. Stores are either in-memory ([`obiwan_net::MemStore`],
+//! scripted clock, this crate *runs* one: [`ActorNet`] is a world whose
+//! devices each own a blob store, and every transport verb calls that
+//! store directly on the caller's thread, under the fabric lock the core
+//! already holds. Stores are either in-memory ([`obiwan_net::MemStore`],
 //! for devices hosted inside this process) or remote
 //! ([`obiwan_blobd::RemoteStore`], fronting an `obiwan-blobd` daemon over
-//! TCP), and the actor neither knows nor cares which.
+//! TCP); only the quota and peek reads tell them apart.
 //!
 //! What carries over from the simulation, verb for verb:
 //!
 //! - the [`obiwan_net::NetError`] vocabulary and its ordering (unknown
 //!   device before departed before not-connected before store errors),
 //!   so the core's ordered failover and repair sweeps work unchanged;
+//! - the router: [`obiwan_net::Route::shortest`] and
+//!   [`obiwan_net::reachable`], so a live world picks the simulation's
+//!   relays;
 //! - [`obiwan_net::LinkSpec`] transfer-cost arithmetic, charged *before*
 //!   the far store accepts or refuses a blob ("errors still cost
 //!   airtime");
 //! - deterministic per-device [`obiwan_net::FailurePlan`] injection,
 //!   evaluated at the dispatch layer;
-//! - churn sequencing on connect/disconnect/depart/arrive.
+//! - churn sequencing on connect/disconnect/depart/arrive, and departed
+//!   devices keeping their blobs until they arrive again.
 //!
 //! What does not: determinism itself. The clock is the sanctioned
-//! [`obiwan_net::clock::real`] seam, and replies race real threads and —
-//! for remote devices — real sockets. That is why `TransportKind::Sim`
-//! stays the default and golden traces are only ever cut there.
+//! [`obiwan_net::clock::real`] seam and remote stores answer over real
+//! sockets. That is why `TransportKind::Sim` stays the default and golden
+//! traces are only ever cut there.
 
-mod actor;
 mod fabric;
 
 pub use fabric::ActorNet;
@@ -76,9 +79,11 @@ mod tests {
             net.send_blob(a, b, "k2", Bytes::copy_from_slice(b"y")),
             Err(NetError::Departed { .. })
         ));
-        // The bytes walked away with the device, not into the void.
-        assert_eq!(net.holders_of_key("k"), vec![b]);
+        // The bytes walked away with the device, not into the void: it
+        // offers them again once it is back.
+        assert!(net.holders_of_key("k").is_empty());
         net.arrive(b).unwrap();
+        assert_eq!(net.holders_of_key("k"), vec![b]);
         assert_eq!(&net.fetch_blob(a, b, "k").unwrap()[..], b"x");
     }
 
